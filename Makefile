@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check build fmt-check vet staticcheck test race bench experiments examples cover clean load-smoke load-bench chaos-smoke trace-smoke cache-smoke qos-smoke audit-smoke timeline-smoke perf-smoke
+.PHONY: all check build fmt-check vet staticcheck test race bench-test bench experiments examples cover clean load-smoke load-bench chaos-smoke trace-smoke cache-smoke qos-smoke audit-smoke timeline-smoke perf-smoke
 
 all: check
 
@@ -9,8 +9,9 @@ all: check
 # a determinism-checked chaos run, a determinism-checked trace export, a
 # determinism-checked answer-cache run, a determinism-checked QoS overload
 # run, an invariant-audited chaos+qos+cache run, a determinism-checked
-# flight-recorder run and a scaling-regression perf smoke.
-check: fmt-check build vet staticcheck test race load-smoke chaos-smoke trace-smoke cache-smoke qos-smoke audit-smoke timeline-smoke perf-smoke
+# flight-recorder run, a scaling-regression perf smoke and the benchmark
+# module's own vet and tests.
+check: fmt-check build vet staticcheck test race bench-test load-smoke chaos-smoke trace-smoke cache-smoke qos-smoke audit-smoke timeline-smoke perf-smoke
 
 build:
 	$(GO) build ./...
@@ -36,6 +37,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# bench-test vets and tests perfbench/, the benchmark's separate Go module
+# (the root module's ./... patterns never reach it).
+bench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

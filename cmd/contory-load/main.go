@@ -9,6 +9,7 @@
 //	contory-load -phones 5000 -duration 10m -stats-out BENCH_fleet.json
 //	contory-load -phones 1000 -duration 5m -workers 8 -stats
 //	contory-load -sweep 1000,2000,5000 -duration 10m -bench-out BENCH_fleet.json
+//	contory-load -phones 1000 -duration 6m -cache -dup 0.6 -cpuprofile cpu.out -memprofile mem.out
 //
 // Same seed, same summary bytes — at any -workers value or GOMAXPROCS.
 package main
@@ -72,12 +73,21 @@ func main() {
 		tlSLO    = flag.String("slo", "", "comma-separated SLO objectives evaluated per window (e.g. p99_first_item_ms<5000,cache_hit_ratio>0.5); implies -timeline")
 		tlOut    = flag.String("timeline-out", "", "write the flight-recorder report JSON to this file; implies -timeline")
 		pprofAt  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the run's lifetime")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the whole process to this file (read with go tool pprof)")
+		memProf  = flag.String("memprofile", "", "write an allocation profile (every sampled allocation of the process) to this file when the run ends (read with go tool pprof)")
 	)
 	flag.Parse()
 	if *tlSLO != "" || *tlOut != "" {
 		*tlOn = true
 	}
-	if err := validateFlags(*phones, *duration, *workers, *qosRate, *overload, *auditOn, *sweep, *benchOut, *tlOn, *tlEvery); err != nil {
+	if err := validateFlags(loadFlags{
+		phones: *phones, duration: *duration, workers: *workers,
+		qosRate: *qosRate, overload: *overload, audit: *auditOn,
+		sweep: *sweep, timeline: *tlOn, timelineInterval: *tlEvery,
+		statsOut: *statsOut, benchOut: *benchOut, benchGo: *benchGo,
+		traceOut: *traceOut, timelineOut: *tlOut,
+		cpuProfile: *cpuProf, memProfile: *memProf,
+	}); err != nil {
 		fail(err)
 	}
 	slos, err := timeline.ParseSLOList(*tlSLO)
@@ -95,6 +105,17 @@ func main() {
 		}()
 		fmt.Fprintln(os.Stderr, "pprof listening on", *pprofAt)
 	}
+	// Profiles cover set-up and every run; they are written when main
+	// returns normally (a failed run exits without them).
+	stopProfiles, err := startProfiles(*cpuProf, *memProf)
+	if err != nil {
+		fail(err)
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fail(err)
+		}
+	}()
 
 	specFor := func(n int) fleet.Spec {
 		spec := fleet.Spec{
@@ -226,32 +247,109 @@ func fail(err error) {
 	os.Exit(1)
 }
 
+// loadFlags holds the flag values validateFlags checks.
+type loadFlags struct {
+	phones           int
+	duration         time.Duration
+	workers          int
+	qosRate          float64
+	overload         float64
+	audit            bool
+	sweep            string
+	timeline         bool
+	timelineInterval time.Duration
+
+	// Output files, by flag.
+	statsOut, benchOut, benchGo, traceOut, timelineOut string
+	cpuProfile, memProfile                             string
+}
+
 // validateFlags rejects flag values that would otherwise surface as a
-// confusing engine panic or an instantly-finished run. -workers keeps 0 as
-// its documented "use GOMAXPROCS" sentinel; only negatives are refused.
-func validateFlags(phones int, duration time.Duration, workers int, qosRate, overload float64, audit bool, sweep, benchOut string, timelineOn bool, timelineInterval time.Duration) error {
-	if phones <= 0 {
-		return fmt.Errorf("-phones must be positive, got %d", phones)
+// confusing engine panic, an instantly-finished run or one output file
+// silently overwriting another. -workers keeps 0 as its documented "use
+// GOMAXPROCS" sentinel; only negatives are refused.
+func validateFlags(f loadFlags) error {
+	if f.phones <= 0 {
+		return fmt.Errorf("-phones must be positive, got %d", f.phones)
 	}
-	if duration <= 0 {
-		return fmt.Errorf("-duration must be positive, got %s", duration)
+	if f.duration <= 0 {
+		return fmt.Errorf("-duration must be positive, got %s", f.duration)
 	}
-	if workers < 0 {
-		return fmt.Errorf("-workers must be >= 0 (0 = GOMAXPROCS), got %d", workers)
+	if f.workers < 0 {
+		return fmt.Errorf("-workers must be >= 0 (0 = GOMAXPROCS), got %d", f.workers)
 	}
-	if qosRate < 0 {
-		return fmt.Errorf("-qos-rate must be >= 0 (0 = default), got %g", qosRate)
+	if f.qosRate < 0 {
+		return fmt.Errorf("-qos-rate must be >= 0 (0 = default), got %g", f.qosRate)
 	}
-	if overload < 0 || overload > 1 {
-		return fmt.Errorf("-overload must be a fraction in [0, 1], got %g", overload)
+	if f.overload < 0 || f.overload > 1 {
+		return fmt.Errorf("-overload must be a fraction in [0, 1], got %g", f.overload)
 	}
-	if audit && (sweep != "" || benchOut != "") {
+	if f.audit && (f.sweep != "" || f.benchOut != "") {
 		return fmt.Errorf("-audit quiesces each run with a virtual-time drain, which would skew -sweep/-bench-out timings; audit a single run without -bench-out")
 	}
-	if timelineOn && timelineInterval <= 0 {
-		return fmt.Errorf("-timeline-interval must be positive, got %s", timelineInterval)
+	if f.timeline && f.timelineInterval <= 0 {
+		return fmt.Errorf("-timeline-interval must be positive, got %s", f.timelineInterval)
+	}
+	outputs := []struct{ flag, path string }{
+		{"stats-out", f.statsOut}, {"bench-out", f.benchOut}, {"bench-go", f.benchGo},
+		{"trace-out", f.traceOut}, {"timeline-out", f.timelineOut},
+		{"cpuprofile", f.cpuProfile}, {"memprofile", f.memProfile},
+	}
+	writer := map[string]string{} // cleaned path → flag writing it
+	for _, o := range outputs {
+		if o.path == "" {
+			continue
+		}
+		path := filepath.Clean(o.path)
+		if prev, dup := writer[path]; dup {
+			return fmt.Errorf("-%s and -%s both write %s", prev, o.flag, o.path)
+		}
+		writer[path] = o.flag
 	}
 	return nil
+}
+
+// startProfiles starts the CPU profiler when cpuPath is set. The returned
+// stop function ends it and, when memPath is set, writes the allocation
+// profile (every sampled allocation since the process started; the heap
+// in use after a final GC rides along as the inuse sample types).
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpuFile *os.File
+	if cpuPath != "" {
+		if cpuFile, err = createFile(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			cpuFile.Close()
+			return nil, fmt.Errorf("start CPU profile: %w", err)
+		}
+	}
+	return func() error {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				return fmt.Errorf("close %s: %w", cpuPath, err)
+			}
+			fmt.Fprintln(os.Stderr, "cpu profile written to", cpuPath)
+		}
+		if memPath == "" {
+			return nil
+		}
+		f, err := createFile(memPath)
+		if err != nil {
+			return err
+		}
+		runtime.GC()
+		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+			f.Close()
+			return fmt.Errorf("write %s: %w", memPath, err)
+		}
+		if err := f.Close(); err != nil {
+			return fmt.Errorf("close %s: %w", memPath, err)
+		}
+		fmt.Fprintln(os.Stderr, "allocation profile written to", memPath)
+		return nil
+	}, nil
 }
 
 // benchMem is the allocation profile of one run, measured by
@@ -477,10 +575,8 @@ func runSweep(list string, specFor func(int) fleet.Spec, workers int, benchOut, 
 // appendFile appends data, creating the file and parent directories as
 // needed (repeated sweeps accumulate benchstat samples in one file).
 func appendFile(path string, data []byte) error {
-	if dir := filepath.Dir(path); dir != "." && dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("create %s: %w", dir, err)
-		}
+	if err := mkParent(path); err != nil {
+		return err
 	}
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -493,15 +589,36 @@ func appendFile(path string, data []byte) error {
 	return f.Close()
 }
 
+// createFile creates (or truncates) path, creating parent directories as
+// needed.
+func createFile(path string) (*os.File, error) {
+	if err := mkParent(path); err != nil {
+		return nil, err
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, fmt.Errorf("create %s: %w", path, err)
+	}
+	return f, nil
+}
+
 // writeFile writes data, creating parent directories as needed.
 func writeFile(path string, data []byte) error {
+	if err := mkParent(path); err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		return fmt.Errorf("write %s: %w", path, err)
+	}
+	return nil
+}
+
+// mkParent creates the parent directory of path if it does not exist.
+func mkParent(path string) error {
 	if dir := filepath.Dir(path); dir != "." && dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return fmt.Errorf("create %s: %w", dir, err)
 		}
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("write %s: %w", path, err)
 	}
 	return nil
 }

@@ -52,37 +52,20 @@ func cacheSourceCompatible(q *query.Query, it cxt.Item) bool {
 // TTL), if any.
 func (f *Factory) cacheLookup(q *query.Query) (cxt.Item, bool) {
 	now := f.clock.Now()
-	for _, it := range f.dev.Repo.Servable(q.Select, q.Freshness) {
-		if !cacheSourceCompatible(q, it) {
-			continue
-		}
-		if !q.Matches(it, now) {
-			continue
-		}
-		return it, true
-	}
-	return cxt.Item{}, false
+	return f.dev.Repo.FirstServable(q.Select, q.Freshness, func(it cxt.Item) bool {
+		return cacheSourceCompatible(q, it) && q.Matches(it, now)
+	})
 }
 
 // cacheLookupRelaxed is cacheLookup with the FRESHNESS clause relaxed:
-// staleness is bounded only by the type's TTL (via Servable) and item
-// expiry. The QoS plane uses it to serve degraded queries stale answers a
-// strict lookup would refuse.
+// staleness is bounded only by the type's TTL and item expiry. The QoS
+// plane uses it to serve degraded queries stale answers a strict lookup
+// would refuse.
 func (f *Factory) cacheLookupRelaxed(q *query.Query) (cxt.Item, bool) {
 	now := f.clock.Now()
-	for _, it := range f.dev.Repo.Servable(q.Select, 0) {
-		if !cacheSourceCompatible(q, it) {
-			continue
-		}
-		if it.Expired(now) {
-			continue
-		}
-		if !query.EvalWhere(q.Where, it.Meta) {
-			continue
-		}
-		return it, true
-	}
-	return cxt.Item{}, false
+	return f.dev.Repo.FirstServable(q.Select, 0, func(it cxt.Item) bool {
+		return cacheSourceCompatible(q, it) && !it.Expired(now) && query.EvalWhere(q.Where, it.Meta)
+	})
 }
 
 // tryServeFromCache attempts to register aq as cache-served. It runs after

@@ -11,7 +11,9 @@
 package energy
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -240,40 +242,95 @@ func (tl *Timeline) EnergyBetween(t0, t1 time.Time) Joules {
 	return tl.energyBetweenLocked(t0, t1)
 }
 
+// energyBetweenLocked integrates in one sweep. One pass over the history
+// takes the fixed-point power at t0 and collects every state change and
+// window edge inside (t0, t1) as a signed fixed-point delta; the deltas are
+// sorted by time and applied segment by segment. Integer addition is exact,
+// so each segment's power equals powerAtLocked at the segment start bit for
+// bit, and the float accumulation visits the same segments in the same
+// order as re-summing the whole history at every breakpoint would. The cost
+// is O(W + k log k) for W stored windows and k edges inside the span.
 func (tl *Timeline) energyBetweenLocked(t0, t1 time.Time) Joules {
 	if !t1.After(t0) {
 		return 0
 	}
-
-	// Collect breakpoints inside (t0, t1).
-	cuts := []time.Time{t0, t1}
+	// Edges are keyed by their offset from the first one collected: all
+	// lie inside the recorded history, so the offsets never saturate the
+	// way offsets from an arbitrary t0 (say, the zero time) could.
+	var base time.Time
+	buf := sweepBufs.Get().(*[]powerDelta)
+	deltas := (*buf)[:0]
+	defer func() {
+		*buf = deltas[:0]
+		sweepBufs.Put(buf)
+	}()
+	edge := func(at time.Time, d int64) {
+		if len(deltas) == 0 {
+			base = at
+		}
+		deltas = append(deltas, powerDelta{off: at.Sub(base), d: d})
+	}
+	var total int64 // power at t0
 	for _, pts := range tl.states {
-		for _, p := range pts {
-			if p.at.After(t0) && p.at.Before(t1) {
-				cuts = append(cuts, p.at)
-			}
+		i := sort.Search(len(pts), func(i int) bool { return pts[i].at.After(t0) })
+		var prev int64
+		if i > 0 {
+			prev = fixedMW(pts[i-1].mw)
+			total += prev
+		}
+		for ; i < len(pts) && pts[i].at.Before(t1); i++ {
+			cur := fixedMW(pts[i].mw)
+			edge(pts[i].at, cur-prev)
+			prev = cur
 		}
 	}
 	for _, w := range tl.windows {
-		if w.start.After(t0) && w.start.Before(t1) {
-			cuts = append(cuts, w.start)
+		mw := fixedMW(w.mw)
+		if w.start.After(t0) {
+			if w.start.Before(t1) {
+				edge(w.start, mw)
+			}
+		} else if w.end.After(t0) {
+			total += mw
 		}
 		if w.end.After(t0) && w.end.Before(t1) {
-			cuts = append(cuts, w.end)
+			edge(w.end, -mw)
 		}
 	}
-	sort.Slice(cuts, func(i, j int) bool { return cuts[i].Before(cuts[j]) })
+	if len(deltas) == 0 {
+		return segmentJoules(total, t1.Sub(t0))
+	}
+	slices.SortFunc(deltas, func(a, b powerDelta) int { return cmp.Compare(a.off, b.off) })
 
-	var joules Joules
-	for i := 0; i+1 < len(cuts); i++ {
-		a, b := cuts[i], cuts[i+1]
-		if !b.After(a) {
-			continue
+	at := deltas[0].off
+	joules := segmentJoules(total, base.Add(at).Sub(t0))
+	for _, d := range deltas {
+		if d.off > at {
+			joules += segmentJoules(total, d.off-at)
+			at = d.off
 		}
-		p := tl.powerAtLocked(a) // constant over [a, b)
-		joules += Joules(float64(p) / 1000.0 * b.Sub(a).Seconds())
+		total += d.d
 	}
-	return joules
+	return joules + segmentJoules(total, t1.Sub(base.Add(at)))
+}
+
+// powerDelta is a step of d nano-milliwatts in total power, off after the
+// first edge of an integration span.
+type powerDelta struct {
+	off time.Duration
+	d   int64
+}
+
+// sweepBufs recycles sweep buffers across timelines. A goroutine runs one
+// integration at a time, so a few buffers serve a whole fleet's phones:
+// calls allocate nothing once a buffer has grown to the longest span, and
+// no timeline pins a buffer between calls.
+var sweepBufs = sync.Pool{New: func() any { return new([]powerDelta) }}
+
+// segmentJoules is the energy of fixed-point power total held for d.
+func segmentJoules(total int64, d time.Duration) Joules {
+	p := Milliwatts(float64(total) / mwFixedScale)
+	return Joules(float64(p) / 1000.0 * d.Seconds())
 }
 
 // EnergyBetweenClamped is EnergyBetween with the start clamped to the

@@ -50,8 +50,12 @@ type Infrastructure struct {
 	clock  vclock.Clock
 	server *fuego.Server
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// items is the archived log: a ring of at most capacity entries. It
+	// grows by append until full; after that each store overwrites the
+	// oldest entry at head.
 	items    []stored
+	head     int
 	byEntity map[string]cxt.Fix // entity (node id) → last known position
 	capacity int
 	regatta  *Regatta
@@ -131,9 +135,11 @@ func (inf *Infrastructure) handleStore(from simnet.NodeID, payload any) {
 		// reported position (how WeatherWatcher scopes observations).
 		entry.pos, entry.hasPo = pos, true
 	}
-	inf.items = append(inf.items, entry)
-	if len(inf.items) > inf.capacity {
-		inf.items = inf.items[len(inf.items)-inf.capacity:]
+	if len(inf.items) < inf.capacity {
+		inf.items = append(inf.items, entry)
+	} else {
+		inf.items[inf.head] = entry
+		inf.head = (inf.head + 1) % inf.capacity
 	}
 	regatta := inf.regatta
 	inf.mu.Unlock()
@@ -175,8 +181,8 @@ func (inf *Infrastructure) handleGet(r fuego.Request) (any, error) {
 	inf.mu.Lock()
 	defer inf.mu.Unlock()
 	var out []cxt.Item
-	for i := len(inf.items) - 1; i >= 0 && len(out) < max; i-- {
-		s := inf.items[i]
+	for k := 0; k < len(inf.items) && len(out) < max; k++ {
+		s := inf.newestLocked(k)
 		if s.item.Type != iq.Select {
 			continue
 		}
@@ -197,6 +203,12 @@ func (inf *Infrastructure) handleGet(r fuego.Request) (any, error) {
 		return nil, fmt.Errorf("%w: %s", ErrNoData, iq.Select)
 	}
 	return out, nil
+}
+
+// newestLocked returns the k-th newest archived entry (0 = newest).
+func (inf *Infrastructure) newestLocked(k int) *stored {
+	n := len(inf.items)
+	return &inf.items[(inf.head-1-k+2*n)%n]
 }
 
 // inRegion tests a fix against a circular region expressed in the same

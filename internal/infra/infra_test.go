@@ -2,6 +2,7 @@ package infra
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -169,6 +170,57 @@ func TestCapacityBound(t *testing.T) {
 	}
 	if inf.Stored() != 3 {
 		t.Fatalf("Stored = %d, want capacity 3", inf.Stored())
+	}
+}
+
+// The archive is a ring: across the wrap, handleGet must return exactly
+// what an append-and-trim log of the newest capacity items would, newest
+// first, including when the type filter skips entries and when MaxItems
+// stops the walk early.
+func TestArchiveRingMatchesSliceLog(t *testing.T) {
+	const capacity = 5
+	clk := vclock.NewSimulator()
+	nw := simnet.New(clk)
+	inf, err := New(Config{Network: nw, NodeID: "infra", Capacity: capacity})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log []cxt.Item // the reference: append, then keep the newest capacity
+	for i := 0; i < 3*capacity+2; i++ {
+		typ := cxt.TypeWind
+		if i%3 == 2 {
+			typ = cxt.TypeTemperature
+		}
+		it := cxt.Item{Type: typ, Value: float64(i), Timestamp: clk.Now()}
+		inf.handleStore("boat1", it)
+		log = append(log, it)
+		if len(log) > capacity {
+			log = log[len(log)-capacity:]
+		}
+		if inf.Stored() != len(log) {
+			t.Fatalf("after %d stores: Stored = %d, want %d", i+1, inf.Stored(), len(log))
+		}
+		for _, typ := range []cxt.Type{cxt.TypeWind, cxt.TypeTemperature} {
+			for _, max := range []int{1, 2, capacity} {
+				var want []float64
+				for j := len(log) - 1; j >= 0 && len(want) < max; j-- {
+					if log[j].Type == typ {
+						want = append(want, log[j].Value.(float64))
+					}
+				}
+				got, err := inf.handleGet(fuego.Request{Payload: provider.InfraQuery{Select: typ, MaxItems: max}})
+				var vals []float64
+				if err == nil {
+					for _, it := range got.([]cxt.Item) {
+						vals = append(vals, it.Value.(float64))
+					}
+				}
+				if fmt.Sprint(vals) != fmt.Sprint(want) {
+					t.Fatalf("after %d stores, %s max %d: got %v (err %v), want %v", i+1, typ, max, vals, err, want)
+				}
+			}
+		}
+		clk.Advance(time.Second)
 	}
 }
 

@@ -16,9 +16,12 @@ type lexer struct {
 
 func newLexer(src string) *lexer { return &lexer{src: src} }
 
-// lex tokenizes the whole input.
+// lex tokenizes the whole input. The token slice is presized from the
+// source length: a query averages well over four bytes per token (keywords,
+// identifiers and the spaces between them), so one allocation usually
+// holds every token plus EOF.
 func (l *lexer) lex() ([]token, error) {
-	var toks []token
+	toks := make([]token, 0, len(l.src)/4+2)
 	for {
 		t, err := l.next()
 		if err != nil {

@@ -278,25 +278,23 @@ func (r *Repository) Fresh(t cxt.Type, maxAge time.Duration) []cxt.Item {
 	return out
 }
 
-// Servable returns items of the given type that the answer cache may serve
-// at the query instant: not expired, within the type's TTL, and within
-// maxAge (0 = TTL only), newest first.
-func (r *Repository) Servable(t cxt.Type, maxAge time.Duration) []cxt.Item {
+// FirstServable returns the newest item of the given type that the answer
+// cache may serve at the query instant (not expired, within the type's TTL,
+// and within maxAge; 0 = TTL only) and that ok accepts. It walks the store
+// newest first under the repository lock and builds no list; ok must not
+// call back into the repository.
+func (r *Repository) FirstServable(t cxt.Type, maxAge time.Duration, ok func(cxt.Item) bool) (cxt.Item, bool) {
 	now := r.clock.Now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var out []cxt.Item
 	items := r.byType[t]
 	for i := len(items) - 1; i >= 0; i-- {
-		if !r.servableLocked(items[i], now) {
-			continue
+		it := items[i]
+		if r.servableLocked(it, now) && it.FreshEnough(now, maxAge) && ok(it) {
+			return it, true
 		}
-		if !items[i].FreshEnough(now, maxAge) {
-			continue
-		}
-		out = append(out, items[i])
 	}
-	return out
+	return cxt.Item{}, false
 }
 
 // Types returns the context types with stored items, sorted.
@@ -330,15 +328,14 @@ func (r *Repository) TotalStored() int {
 }
 
 // MemoryBytes estimates the current local memory footprint using item wire
-// sizes, for the ResourcesMonitor.
+// sizes, for the ResourcesMonitor. A wire size depends only on the item's
+// type, so the estimate costs O(types), not O(items).
 func (r *Repository) MemoryBytes() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	total := 0
-	for _, items := range r.byType {
-		for _, it := range items {
-			total += it.WireSize()
-		}
+	for t, items := range r.byType {
+		total += len(items) * t.WireSize()
 	}
 	return total
 }

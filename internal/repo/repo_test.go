@@ -129,8 +129,19 @@ func TestAdmissionAndTTLLearning(t *testing.T) {
 	}
 }
 
-// Servable honours the per-type TTL: items older than the TTL are not
-// offered to the answer cache even when their own lifetime is unbounded.
+// servable lists every item FirstServable would consider, newest first: the
+// acceptance callback records each candidate and declines it.
+func servable(r *Repository, t cxt.Type, maxAge time.Duration) []cxt.Item {
+	var out []cxt.Item
+	r.FirstServable(t, maxAge, func(it cxt.Item) bool {
+		out = append(out, it)
+		return false
+	})
+	return out
+}
+
+// The answer cache honours the per-type TTL: items older than the TTL are
+// not offered even when their own lifetime is unbounded.
 func TestServableHonoursTTL(t *testing.T) {
 	clk := vclock.NewSimulator()
 	r := New(clk, 0)
@@ -139,24 +150,49 @@ func TestServableHonoursTTL(t *testing.T) {
 	clk.Advance(2 * time.Second)
 	r.Store(item(cxt.TypeWind, 2, clk.Now()))
 	clk.Advance(4 * time.Second)
-	got := r.Servable(cxt.TypeWind, 0)
+	got := servable(r, cxt.TypeWind, 0)
 	if len(got) != 1 || got[0].Value != 2.0 {
-		t.Fatalf("Servable = %+v, want only the 4s-old item", got)
+		t.Fatalf("servable = %+v, want only the 4s-old item", got)
 	}
 	// The FRESHNESS bound narrows further.
-	if got := r.Servable(cxt.TypeWind, 3*time.Second); len(got) != 0 {
-		t.Fatalf("Servable with 3s freshness = %+v, want none", got)
+	if got := servable(r, cxt.TypeWind, 3*time.Second); len(got) != 0 {
+		t.Fatalf("servable with 3s freshness = %+v, want none", got)
 	}
 	// TTL boundary is closed: exactly TTL-old is no longer servable.
 	clk.Advance(time.Second)
-	if got := r.Servable(cxt.TypeWind, 0); len(got) != 0 {
-		t.Fatalf("Servable at exactly TTL = %+v, want none", got)
+	if got := servable(r, cxt.TypeWind, 0); len(got) != 0 {
+		t.Fatalf("servable at exactly TTL = %+v, want none", got)
+	}
+}
+
+// FirstServable returns the newest servable item the callback accepts,
+// skipping newer ones it declines, and reports a miss when it accepts none.
+func TestFirstServableNewestAccepted(t *testing.T) {
+	clk := vclock.NewSimulator()
+	r := New(clk, 0)
+	for v := 1; v <= 4; v++ {
+		r.Store(item(cxt.TypeWind, float64(v), clk.Now()))
+		clk.Advance(time.Second)
+	}
+	if got := servable(r, cxt.TypeWind, 0); len(got) != 4 || got[0].Value != 4.0 || got[3].Value != 1.0 {
+		t.Fatalf("walk order = %+v, want newest first", got)
+	}
+	odd := func(it cxt.Item) bool { return int(it.Value.(float64))%2 == 1 }
+	if it, ok := r.FirstServable(cxt.TypeWind, 0, odd); !ok || it.Value != 3.0 {
+		t.Fatalf("FirstServable(odd) = %+v, %v; want the item 3", it, ok)
+	}
+	// Freshness is applied before the callback: only items 3 and 4 qualify.
+	if it, ok := r.FirstServable(cxt.TypeWind, 2*time.Second, func(it cxt.Item) bool { return it.Value == 1.0 }); ok {
+		t.Fatalf("FirstServable served %+v past its freshness bound", it)
+	}
+	if _, ok := r.FirstServable(cxt.TypeTemperature, 0, func(cxt.Item) bool { return true }); ok {
+		t.Fatal("FirstServable served a type with no stored items")
 	}
 }
 
 // Regression for the closed expiry boundary: an item whose lifetime elapses
 // exactly at the query instant must not be served by Latest, Fresh, or
-// Servable.
+// FirstServable.
 func TestExpiryBoundaryTick(t *testing.T) {
 	const life = 10 * time.Second
 	cases := []struct {
@@ -182,8 +218,8 @@ func TestExpiryBoundaryTick(t *testing.T) {
 			if got := len(r.Fresh(cxt.TypeHumidity, time.Hour)) > 0; got != tc.served {
 				t.Errorf("Fresh served=%v, want %v", got, tc.served)
 			}
-			if got := len(r.Servable(cxt.TypeHumidity, 0)) > 0; got != tc.served {
-				t.Errorf("Servable served=%v, want %v", got, tc.served)
+			if got := len(servable(r, cxt.TypeHumidity, 0)) > 0; got != tc.served {
+				t.Errorf("FirstServable served=%v, want %v", got, tc.served)
 			}
 		})
 	}
@@ -271,6 +307,79 @@ func TestMemoryBytesAndClear(t *testing.T) {
 	r.Clear()
 	if r.MemoryBytes() != 0 || r.Len(cxt.TypeWind) != 0 {
 		t.Fatal("Clear left items behind")
+	}
+}
+
+// bruteMemoryBytes sums every stored item's wire size one by one.
+func bruteMemoryBytes(r *Repository) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	total := 0
+	for _, items := range r.byType {
+		for _, it := range items {
+			total += it.WireSize()
+		}
+	}
+	return total
+}
+
+// MemoryBytes (summed per type) must equal the per-item sum after every
+// kind of repository mutation.
+func TestMemoryBytesMatchesPerItemSum(t *testing.T) {
+	clk := vclock.NewSimulator()
+	r := New(clk, 3)
+	r.SetTTL(cxt.TypeNoise, 10*time.Second)
+	steps := []struct {
+		name string
+		do   func()
+		want int // expected items stored after the step
+	}{
+		{"store mixed types", func() {
+			r.Store(item(cxt.TypeWind, 1, clk.Now()))
+			r.Store(item(cxt.TypeLocation, 1, clk.Now()))
+			r.Store(item(cxt.TypeNoise, 1, clk.Now()))
+			r.Store(item("customType", 1, clk.Now()))
+		}, 4},
+		{"rejected admission", func() {
+			stale := item(cxt.TypeNoise, 2, clk.Now().Add(-time.Minute))
+			r.Store(stale)
+			expired := item(cxt.TypeWind, 2, clk.Now().Add(-time.Hour))
+			expired.Lifetime = time.Second
+			r.Store(expired)
+		}, 4},
+		{"unservable drop", func() {
+			r.Store(item(cxt.TypeNoise, 3, clk.Now()))
+			r.Store(item(cxt.TypeNoise, 4, clk.Now()))
+			clk.Advance(11 * time.Second)
+			// Over capacity: the three TTL-expired noise items go first.
+			r.Store(item(cxt.TypeNoise, 5, clk.Now()))
+		}, 4},
+		{"seeded eviction", func() {
+			for v := 0; v < 6; v++ {
+				r.Store(item(cxt.TypeWind, float64(10+v), clk.Now()))
+			}
+		}, 6},
+		{"clear", r.Clear, 0},
+	}
+	evictions := 0
+	for _, st := range steps {
+		st.do()
+		n := 0
+		for _, ty := range r.Types() {
+			n += r.Len(ty)
+		}
+		if n != st.want {
+			t.Fatalf("%s: %d items stored, want %d", st.name, n, st.want)
+		}
+		if got, want := r.MemoryBytes(), bruteMemoryBytes(r); got != want {
+			t.Fatalf("%s: MemoryBytes = %d, per-item sum %d", st.name, got, want)
+		}
+		if st.name == "seeded eviction" {
+			evictions = r.Evictions()
+		}
+	}
+	if evictions == 0 {
+		t.Fatal("the eviction step evicted nothing")
 	}
 }
 
